@@ -125,6 +125,49 @@ fn bench_waiting_queue_scan(c: &mut Criterion) {
     g.finish();
 }
 
+/// Round-robin seek cost against the number of job streams. `one_job`
+/// is a push+pop pair on a single-job queue, the path every CASPER run and
+/// every fleet group engine takes. `open8_of_10000` is a 10 000-job stream
+/// with 8 jobs holding work, as in a service run at its admission bound:
+/// each pair is followed by one empty seek, the idle worker's probe.
+/// Rows time 10 000 pairs per iteration.
+fn bench_waiting_queue_seek(c: &mut Criterion) {
+    use criterion::black_box;
+    use pax_core::descriptor::QueueClass;
+    use pax_core::ids::DescId;
+    use pax_core::queue::WaitingQueue;
+    const PAIRS: u32 = 10_000;
+    let mut g = c.benchmark_group("waiting_queue_seek");
+    g.sample_size(50);
+    g.bench_function("one_job", |b| {
+        let mut q = WaitingQueue::new(1);
+        b.iter(|| {
+            let mut sum = 0u32;
+            for i in 0..PAIRS {
+                q.push_back(DescId(i), QueueClass::Normal, JobId(0));
+                sum = sum.wrapping_add(black_box(&mut q).pop().map_or(0, |d| d.0));
+            }
+            sum
+        })
+    });
+    g.bench_function("open8_of_10000", |b| {
+        let jobs = 10_000u32;
+        let open: Vec<u32> = (0..8).map(|k| k * jobs / 8 + 7).collect();
+        let mut q = WaitingQueue::new(jobs as usize);
+        b.iter(|| {
+            let mut sum = 0u32;
+            for i in 0..PAIRS {
+                let job = open[(i % 8) as usize];
+                q.push_back(DescId(i), QueueClass::Normal, JobId(job));
+                sum = sum.wrapping_add(black_box(&mut q).pop().map_or(0, |d| d.0));
+                sum = sum.wrapping_add(black_box(&mut q).pop().map_or(1, |d| d.0));
+            }
+            sum
+        })
+    });
+    g.finish();
+}
+
 fn bench_locality_remote_count(c: &mut Criterion) {
     use pax_sim::locality::{DataLayout, LocalityModel};
     use pax_sim::time::SimDuration;
@@ -455,6 +498,7 @@ criterion_group!(
     bench_conflict_queue,
     bench_classifier,
     bench_waiting_queue_scan,
+    bench_waiting_queue_seek,
     bench_locality_remote_count,
     bench_enablement_completion,
     bench_rangeset_churn,

@@ -2322,13 +2322,14 @@ impl Engine {
         self.run_program(job, 0);
     }
 
-    /// The program of `job` reached `End`: record completion, recycle its
-    /// instances under eviction, and let the admission policy pull the
+    /// The program of `job` reached `End`: record completion, close its
+    /// waiting-queue segment, recycle its instances under eviction, and let the admission policy pull the
     /// next deferred arrival through the freed slot.
     fn finish_job(&mut self, job: usize) {
         self.jobs[job].done = true;
         self.jobs[job].finished_at = Some(self.now);
         self.in_flight -= 1;
+        self.waiting.close(JobId(job as u32));
         if self.evict {
             self.evict_job_instances(job);
         }

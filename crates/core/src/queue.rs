@@ -8,6 +8,23 @@
 //! conflicting/enabled computations, FIFO) ahead of per-job *normal*
 //! segments (FIFO within a job, round-robin across jobs so that a
 //! multi-parallel-job-stream environment shares the machine).
+//!
+//! # Segment lifetime and seek cost
+//!
+//! A job's normal segment exists only while the job has work in flight.
+//! It opens on the job's first push and joins a small vector of open
+//! segments kept sorted by job id. When the job finishes, the engine
+//! calls [`WaitingQueue::close`], which hands the (empty) deque to a spare
+//! pool; the next job to open a segment takes it back, so a steady-state
+//! service stream allocates nothing per job.
+//!
+//! The round-robin cursor still names a job id in `0..jobs`. A seek
+//! starts at the first open segment whose job is at or after the cursor
+//! and wraps over the open segments only, which visits segments in
+//! exactly the order a scan over every job's segment would, skipping
+//! only segments that are necessarily empty. So a seek costs O(open
+//! jobs), not O(jobs ever submitted), and the queue holds
+//! O(peak open jobs) segments rather than one per job in the stream.
 
 use crate::descriptor::QueueClass;
 use crate::ids::{DescId, JobId};
@@ -17,7 +34,14 @@ use std::collections::VecDeque;
 #[derive(Debug, Default)]
 pub struct WaitingQueue {
     elevated: VecDeque<DescId>,
-    normal: Vec<VecDeque<DescId>>, // indexed by job
+    /// Open normal segments, sorted by job id.
+    open: Vec<(u32, VecDeque<DescId>)>,
+    /// Deques of closed segments, kept for reuse.
+    spare: Vec<VecDeque<DescId>>,
+    /// Number of job streams: the round-robin cursor wraps modulo this.
+    jobs: usize,
+    /// Slots reserved in a freshly allocated segment.
+    segment_cap: usize,
     rr_cursor: usize,
     len: usize,
 }
@@ -28,19 +52,24 @@ pub struct WaitingQueue {
 const SEGMENT_CAPACITY: usize = 128;
 
 impl WaitingQueue {
-    /// Queue serving `jobs` job streams (≥ 1), with segment storage
-    /// pre-reserved so steady-state pushes stay allocation-free.
+    /// Queue serving `jobs` job streams (≥ 1). Allocates only the
+    /// elevated segment; a normal segment is allocated (or recycled) when
+    /// its job first pushes.
     pub fn new(jobs: usize) -> WaitingQueue {
         Self::with_capacity(jobs, SEGMENT_CAPACITY)
     }
 
-    /// Queue serving `jobs` job streams with `cap` slots pre-reserved per
-    /// segment (sized from the expected task count per phase).
+    /// Queue serving `jobs` job streams with `cap` slots pre-reserved in
+    /// the elevated segment and in each normal segment it opens (sized
+    /// from the expected task count per phase).
     pub fn with_capacity(jobs: usize, cap: usize) -> WaitingQueue {
         assert!(jobs > 0, "need at least one job stream");
         WaitingQueue {
             elevated: VecDeque::with_capacity(cap),
-            normal: (0..jobs).map(|_| VecDeque::with_capacity(cap)).collect(),
+            open: Vec::new(),
+            spare: Vec::new(),
+            jobs,
+            segment_cap: cap,
             rr_cursor: 0,
             len: 0,
         }
@@ -58,6 +87,12 @@ impl WaitingQueue {
         self.len == 0
     }
 
+    /// Number of open normal segments: jobs that have pushed and not yet
+    /// been closed (diagnostics).
+    pub fn open_segments(&self) -> usize {
+        self.open.len()
+    }
+
     /// Append to the back of the given class ("behind the current phase
     /// description" for universal successors is achieved by normal-class
     /// FIFO order).
@@ -66,7 +101,7 @@ impl WaitingQueue {
         self.len += 1;
         match class {
             QueueClass::Elevated => self.elevated.push_back(id),
-            QueueClass::Normal => self.normal[job.0 as usize].push_back(id),
+            QueueClass::Normal => self.segment(job).push_back(id),
         }
     }
 
@@ -77,7 +112,23 @@ impl WaitingQueue {
         self.len += 1;
         match class {
             QueueClass::Elevated => self.elevated.push_front(id),
-            QueueClass::Normal => self.normal[job.0 as usize].push_front(id),
+            QueueClass::Normal => self.segment(job).push_front(id),
+        }
+    }
+
+    /// Close `job`'s normal segment: the job has finished and queues no
+    /// more work. The segment's deque goes to the spare pool for the next
+    /// job to open. Closing a job with no open segment does nothing, and
+    /// so does closing one whose segment still holds entries: those stay
+    /// queued, in order, and the segment stays open until a later close
+    /// finds it drained. Pop order never depends on which empty segments
+    /// are open.
+    pub fn close(&mut self, job: JobId) {
+        if let Ok(i) = self.open.binary_search_by_key(&job.0, |s| s.0) {
+            if self.open[i].1.is_empty() {
+                let (_, seg) = self.open.remove(i);
+                self.spare.push(seg);
+            }
         }
     }
 
@@ -88,16 +139,7 @@ impl WaitingQueue {
             self.len -= 1;
             return Some(id);
         }
-        let jobs = self.normal.len();
-        for k in 0..jobs {
-            let j = (self.rr_cursor + k) % jobs;
-            if let Some(id) = self.normal[j].pop_front() {
-                self.rr_cursor = (j + 1) % jobs;
-                self.len -= 1;
-                return Some(id);
-            }
-        }
-        None
+        self.pop_normal()
     }
 
     /// Pop the first description within the leading `window` entries (in
@@ -109,7 +151,9 @@ impl WaitingQueue {
     ///
     /// Matching the overall head behaves exactly like `pop` (round-robin
     /// cursor advances); deeper matches are removed in place and leave the
-    /// cursor untouched, so job-stream fairness is preserved.
+    /// cursor untouched, so job-stream fairness is preserved. A normal
+    /// entry counts as the head only when its job is the cursor's job
+    /// itself (not merely the first open segment after it).
     pub fn pop_matching(
         &mut self,
         window: usize,
@@ -128,20 +172,19 @@ impl WaitingQueue {
             }
             scanned += 1;
         }
-        let jobs = self.normal.len();
-        for k in 0..jobs {
-            let j = (self.rr_cursor + k) % jobs;
-            for pos in 0..self.normal[j].len() {
+        for i in self.seek_order() {
+            let job = self.open[i].0 as usize;
+            for pos in 0..self.open[i].1.len() {
                 if scanned >= window {
                     return self.pop();
                 }
-                let id = self.normal[j][pos];
+                let id = self.open[i].1[pos];
                 if pred(id) {
-                    if self.elevated.is_empty() && k == 0 && pos == 0 {
+                    if self.elevated.is_empty() && job == self.rr_cursor && pos == 0 {
                         // exact head: keep pop()'s fairness bookkeeping
                         return self.pop();
                     }
-                    self.normal[j].remove(pos);
+                    self.open[i].1.remove(pos);
                     self.len -= 1;
                     return Some(id);
                 }
@@ -165,15 +208,7 @@ impl WaitingQueue {
             }
         }
         if allow_normal {
-            let jobs = self.normal.len();
-            for k in 0..jobs {
-                let j = (self.rr_cursor + k) % jobs;
-                if let Some(id) = self.normal[j].pop_front() {
-                    self.rr_cursor = (j + 1) % jobs;
-                    self.len -= 1;
-                    return Some(id);
-                }
-            }
+            return self.pop_normal();
         }
         None
     }
@@ -183,14 +218,8 @@ impl WaitingQueue {
         if let Some(&id) = self.elevated.front() {
             return Some(id);
         }
-        let jobs = self.normal.len();
-        for k in 0..jobs {
-            let j = (self.rr_cursor + k) % jobs;
-            if let Some(&id) = self.normal[j].front() {
-                return Some(id);
-            }
-        }
-        None
+        self.seek_order()
+            .find_map(|i| self.open[i].1.front().copied())
     }
 
     /// Number of elevated entries (diagnostics).
@@ -198,16 +227,17 @@ impl WaitingQueue {
         self.elevated.len()
     }
 
-    /// Remove a specific description from wherever it is queued. Linear
-    /// scan — only used by the priority-elevation carve path, where queue
-    /// depth is a handful of descriptions. Returns true if found.
+    /// Remove a specific description from wherever it is queued: a scan of
+    /// the elevated segment and the open normal segments, O(queued
+    /// entries). Only the priority-elevation carve path uses it. Returns
+    /// true if found.
     pub fn remove(&mut self, id: DescId) -> bool {
         if let Some(pos) = self.elevated.iter().position(|&x| x == id) {
             self.elevated.remove(pos);
             self.len -= 1;
             return true;
         }
-        for q in &mut self.normal {
+        for (_, q) in &mut self.open {
             if let Some(pos) = q.iter().position(|&x| x == id) {
                 q.remove(pos);
                 self.len -= 1;
@@ -215,6 +245,53 @@ impl WaitingQueue {
             }
         }
         false
+    }
+
+    /// `job`'s normal segment, opened (from the spare pool when it can)
+    /// if the job has none.
+    fn segment(&mut self, job: JobId) -> &mut VecDeque<DescId> {
+        debug_assert!((job.0 as usize) < self.jobs, "job {} out of range", job.0);
+        let i = match self.open.binary_search_by_key(&job.0, |s| s.0) {
+            Ok(i) => i,
+            Err(i) => {
+                let cap = self.segment_cap;
+                let seg = self
+                    .spare
+                    .pop()
+                    .unwrap_or_else(|| VecDeque::with_capacity(cap));
+                self.open.insert(i, (job.0, seg));
+                i
+            }
+        };
+        &mut self.open[i].1
+    }
+
+    /// Open-segment indices in seek order: from the first segment whose
+    /// job is at or after the round-robin cursor, wrapping once.
+    fn seek_order(&self) -> impl Iterator<Item = usize> {
+        let n = self.open.len();
+        let start = self
+            .open
+            .partition_point(|s| (s.0 as usize) < self.rr_cursor);
+        (start..n).chain(0..start)
+    }
+
+    /// Pop the head of the first non-empty normal segment in seek order
+    /// and move the cursor past its job.
+    fn pop_normal(&mut self) -> Option<DescId> {
+        if self.len == self.elevated.len() {
+            return None; // every open segment is empty
+        }
+        let i = if self.open.len() == 1 {
+            0 // single-job runs: the one open segment is the only candidate
+        } else {
+            self.seek_order().find(|&i| !self.open[i].1.is_empty())?
+        };
+        let (job, seg) = &mut self.open[i];
+        let id = seg.pop_front()?;
+        self.rr_cursor = (*job as usize + 1) % self.jobs;
+        self.len -= 1;
+        Some(id)
     }
 }
 
@@ -339,6 +416,50 @@ mod tests {
         assert_eq!(q.pop_matching(8, |id| id == d(2)), Some(d(2)));
         assert_eq!(q.pop(), Some(d(1)));
         assert_eq!(q.pop(), Some(d(3)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_matching_head_match_after_cursor_wrap_takes_fairness_path() {
+        let jobs = 3;
+        let mut q = WaitingQueue::new(jobs);
+        q.push_back(d(1), QueueClass::Normal, JobId(0));
+        q.push_back(d(2), QueueClass::Normal, JobId(0));
+        q.push_back(d(3), QueueClass::Normal, JobId(1));
+        q.push_back(d(4), QueueClass::Normal, JobId(2));
+        assert_eq!(q.pop(), Some(d(1)));
+        assert_eq!(q.pop(), Some(d(3)));
+        // popping job `jobs - 1` wraps the cursor back to job 0
+        assert_eq!(q.pop(), Some(d(4)));
+        q.push_back(d(5), QueueClass::Normal, JobId(1));
+        q.push_back(d(6), QueueClass::Normal, JobId(0));
+        // job 0's head matches at the wrapped cursor: the fairness path
+        // moves the cursor on to job 1, so job 1 goes next, not job 0
+        assert_eq!(q.pop_matching(8, |id| id == d(2)), Some(d(2)));
+        assert_eq!(q.pop(), Some(d(5)));
+        assert_eq!(q.pop(), Some(d(6)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn close_recycles_drained_segment_and_keeps_order() {
+        let mut q = WaitingQueue::new(4);
+        q.push_back(d(1), QueueClass::Normal, JobId(3));
+        q.push_back(d(2), QueueClass::Normal, JobId(1));
+        assert_eq!(q.open_segments(), 2);
+        assert_eq!(q.pop(), Some(d(2)));
+        q.close(JobId(1));
+        assert_eq!(q.open_segments(), 1);
+        // closing a job whose segment still holds work keeps it queued
+        q.close(JobId(3));
+        assert_eq!(q.open_segments(), 1);
+        // reopening takes the spare deque
+        q.push_back(d(3), QueueClass::Normal, JobId(0));
+        assert!(q.spare.is_empty());
+        assert_eq!(q.pop(), Some(d(1)));
+        assert_eq!(q.pop(), Some(d(3)));
+        q.close(JobId(2)); // never opened: no-op
+        assert_eq!(q.open_segments(), 2);
         assert!(q.is_empty());
     }
 

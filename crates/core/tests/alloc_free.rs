@@ -24,10 +24,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -37,6 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -364,8 +367,24 @@ fn assert_sharded_steady_state_alloc_free() {
     );
 }
 
+/// The waiting queue's memory contract: normal segments are allocated
+/// when a job first queues work, not up front per job stream, so opening
+/// a queue for a million-job stream costs O(1) bytes.
+fn assert_waiting_queue_open_is_constant_size() {
+    use pax_core::queue::WaitingQueue;
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let q = WaitingQueue::new(1_000_000);
+    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    drop(q);
+    assert!(
+        bytes <= 4 * 1024,
+        "WaitingQueue::new(1_000_000) allocated {bytes} bytes"
+    );
+}
+
 #[test]
 fn steady_state_completion_processing_is_allocation_free() {
+    assert_waiting_queue_open_is_constant_size();
     // Warm-up absorbs lazy one-time initialization.
     let _ = identity_run(256, SplitStrategy::DemandSplit, 1);
     let _ = identity_run(256, SplitStrategy::DemandSplit, 8);
@@ -396,8 +415,9 @@ fn steady_state_completion_processing_is_allocation_free() {
     let _ = faults_enabled_run(256);
     assert_faults_enabled_steady_state_alloc_free();
     // Open-system service stream with eviction: a 4× longer arrival
-    // stream admits and completes through a recycled instance pool —
-    // still zero allocations per event once the pool is warm.
+    // stream admits and completes through a recycled instance pool and
+    // recycled waiting-queue segments — still zero allocations per event
+    // once the pools are warm.
     let _ = service_stream_run(16);
     assert_service_steady_state_alloc_free();
 }

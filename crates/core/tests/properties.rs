@@ -911,3 +911,280 @@ mod enablement_safety {
         }
     }
 }
+
+/// The waiting queue against a copy of its earlier implementation, which
+/// kept one normal segment per job stream and scanned all of them per
+/// seek. Open/close segment bookkeeping must not move a single pop.
+mod queue_model {
+    use pax_core::descriptor::QueueClass;
+    use pax_core::ids::{DescId, JobId};
+    use pax_core::queue::WaitingQueue;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// Reference queue: one segment per job, every seek scans all jobs
+    /// round-robin from the cursor.
+    struct ScanQueue {
+        elevated: VecDeque<DescId>,
+        normal: Vec<VecDeque<DescId>>,
+        rr_cursor: usize,
+        len: usize,
+    }
+
+    impl ScanQueue {
+        fn new(jobs: usize) -> ScanQueue {
+            ScanQueue {
+                elevated: VecDeque::new(),
+                normal: (0..jobs).map(|_| VecDeque::new()).collect(),
+                rr_cursor: 0,
+                len: 0,
+            }
+        }
+
+        fn push_back(&mut self, id: DescId, class: QueueClass, job: JobId) {
+            self.len += 1;
+            match class {
+                QueueClass::Elevated => self.elevated.push_back(id),
+                QueueClass::Normal => self.normal[job.0 as usize].push_back(id),
+            }
+        }
+
+        fn push_front(&mut self, id: DescId, class: QueueClass, job: JobId) {
+            self.len += 1;
+            match class {
+                QueueClass::Elevated => self.elevated.push_front(id),
+                QueueClass::Normal => self.normal[job.0 as usize].push_front(id),
+            }
+        }
+
+        fn pop(&mut self) -> Option<DescId> {
+            self.pop_class(true, true)
+        }
+
+        fn pop_class(&mut self, allow_elevated: bool, allow_normal: bool) -> Option<DescId> {
+            if allow_elevated {
+                if let Some(id) = self.elevated.pop_front() {
+                    self.len -= 1;
+                    return Some(id);
+                }
+            }
+            if allow_normal {
+                let jobs = self.normal.len();
+                for k in 0..jobs {
+                    let j = (self.rr_cursor + k) % jobs;
+                    if let Some(id) = self.normal[j].pop_front() {
+                        self.rr_cursor = (j + 1) % jobs;
+                        self.len -= 1;
+                        return Some(id);
+                    }
+                }
+            }
+            None
+        }
+
+        fn pop_matching(
+            &mut self,
+            window: usize,
+            mut pred: impl FnMut(DescId) -> bool,
+        ) -> Option<DescId> {
+            let mut scanned = 0usize;
+            for pos in 0..self.elevated.len() {
+                if scanned >= window {
+                    return self.pop();
+                }
+                let id = self.elevated[pos];
+                if pred(id) {
+                    self.elevated.remove(pos);
+                    self.len -= 1;
+                    return Some(id);
+                }
+                scanned += 1;
+            }
+            let jobs = self.normal.len();
+            for k in 0..jobs {
+                let j = (self.rr_cursor + k) % jobs;
+                for pos in 0..self.normal[j].len() {
+                    if scanned >= window {
+                        return self.pop();
+                    }
+                    let id = self.normal[j][pos];
+                    if pred(id) {
+                        if self.elevated.is_empty() && k == 0 && pos == 0 {
+                            return self.pop();
+                        }
+                        self.normal[j].remove(pos);
+                        self.len -= 1;
+                        return Some(id);
+                    }
+                    scanned += 1;
+                }
+            }
+            self.pop()
+        }
+
+        fn peek(&self) -> Option<DescId> {
+            if let Some(&id) = self.elevated.front() {
+                return Some(id);
+            }
+            let jobs = self.normal.len();
+            (0..jobs).find_map(|k| self.normal[(self.rr_cursor + k) % jobs].front().copied())
+        }
+
+        fn remove(&mut self, id: DescId) -> bool {
+            if let Some(pos) = self.elevated.iter().position(|&x| x == id) {
+                self.elevated.remove(pos);
+                self.len -= 1;
+                return true;
+            }
+            for q in &mut self.normal {
+                if let Some(pos) = q.iter().position(|&x| x == id) {
+                    q.remove(pos);
+                    self.len -= 1;
+                    return true;
+                }
+            }
+            false
+        }
+    }
+
+    /// A pseudo-random predicate over descriptor ids, fixed by `(m, r)`.
+    fn pred(m: u32, r: u32) -> impl FnMut(DescId) -> bool {
+        move |id| (id.0.wrapping_mul(2_654_435_761) >> 7) % m == r % m
+    }
+
+    /// Apply one encoded operation to both queues and compare results.
+    fn step(
+        q: &mut WaitingQueue,
+        model: &mut ScanQueue,
+        next_id: &mut u32,
+        jobs: usize,
+        op: (u8, u32, u32, u32),
+    ) -> Result<(), TestCaseError> {
+        let (kind, a, b, c) = op;
+        let job = JobId(a % jobs as u32);
+        let class = if b % 4 == 0 {
+            QueueClass::Elevated
+        } else {
+            QueueClass::Normal
+        };
+        match kind % 9 {
+            0 | 1 => {
+                let id = DescId(*next_id);
+                *next_id += 1;
+                q.push_back(id, class, job);
+                model.push_back(id, class, job);
+            }
+            2 => {
+                let id = DescId(*next_id);
+                *next_id += 1;
+                q.push_front(id, class, job);
+                model.push_front(id, class, job);
+            }
+            3 => prop_assert_eq!(q.pop(), model.pop()),
+            4 => prop_assert_eq!(q.peek(), model.peek()),
+            5 => {
+                let (e, n) = (b & 1 == 1, b & 2 == 2);
+                prop_assert_eq!(q.pop_class(e, n), model.pop_class(e, n));
+            }
+            6 => {
+                let window = (c % 10) as usize;
+                let m = 1 + b % 6;
+                prop_assert_eq!(
+                    q.pop_matching(window, pred(m, c)),
+                    model.pop_matching(window, pred(m, c))
+                );
+            }
+            7 => {
+                let id = DescId(b % (*next_id).max(1));
+                prop_assert_eq!(q.remove(id), model.remove(id));
+            }
+            _ => {
+                // closing is invisible to pop order, drained or not
+                q.close(job);
+            }
+        }
+        prop_assert_eq!(q.len(), model.len);
+        prop_assert_eq!(q.is_empty(), model.len == 0);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random operation sequences over 1..64 job streams: identical
+        /// return values and lengths after every operation.
+        #[test]
+        fn matches_scanning_queue(
+            jobs in 1usize..64,
+            ops in proptest::collection::vec((0u8..9, 0u32..64, 0u32..1000, 0u32..1000), 1..300),
+        ) {
+            let mut q = WaitingQueue::new(jobs);
+            let mut model = ScanQueue::new(jobs);
+            let mut next_id = 0u32;
+            for &op in &ops {
+                step(&mut q, &mut model, &mut next_id, jobs, op)?;
+            }
+            // drain: the remaining order must agree too
+            loop {
+                let (a, b) = (q.pop(), model.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// Jobs that run to completion and close, as a service stream's
+        /// do: only a few segments are open at a time, and each close
+        /// happens on a drained job.
+        #[test]
+        fn matches_scanning_queue_with_job_turnover(
+            ops in proptest::collection::vec((0u8..9, 0u32..8, 0u32..1000, 0u32..1000), 1..400),
+        ) {
+            let jobs = 64;
+            let mut q = WaitingQueue::new(jobs);
+            let mut model = ScanQueue::new(jobs);
+            let mut next_id = 0u32;
+            let mut base = 0u32; // the oldest live job; live jobs are base..base+8
+            for &(kind, a, b, c) in &ops {
+                let job = (base + a) % jobs as u32;
+                step(&mut q, &mut model, &mut next_id, jobs, (kind, job, b, c))?;
+                if model.normal[base as usize].is_empty() && kind % 9 == 3 {
+                    q.close(JobId(base));
+                    base = (base + 1) % jobs as u32;
+                }
+                prop_assert!(q.open_segments() <= 9);
+            }
+        }
+    }
+
+    /// The cursor-wrap case: after popping job `jobs - 1` the cursor wraps
+    /// to 0, so a data-proximity match on job 0's head is the exact head
+    /// and both queues must take the fairness path.
+    #[test]
+    fn head_match_after_cursor_wrap_agrees() {
+        let jobs = 4;
+        let mut q = WaitingQueue::new(jobs);
+        let mut model = ScanQueue::new(jobs);
+        for (id, job) in [(1, 0), (2, 0), (3, 3), (4, 1)] {
+            q.push_back(DescId(id), QueueClass::Normal, JobId(job));
+            model.push_back(DescId(id), QueueClass::Normal, JobId(job));
+        }
+        q.close(JobId(2));
+        for _ in 0..3 {
+            assert_eq!(q.pop(), model.pop());
+        }
+        assert_eq!(model.rr_cursor, 0, "popping job jobs-1 wraps the cursor");
+        q.push_back(DescId(5), QueueClass::Normal, JobId(1));
+        model.push_back(DescId(5), QueueClass::Normal, JobId(1));
+        q.push_back(DescId(6), QueueClass::Normal, JobId(0));
+        model.push_back(DescId(6), QueueClass::Normal, JobId(0));
+        let hit = |id: DescId| id == DescId(2);
+        assert_eq!(q.pop_matching(8, hit), model.pop_matching(8, hit));
+        assert_eq!(model.rr_cursor, 1, "fairness path advances the cursor");
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let model_rest: Vec<_> = std::iter::from_fn(|| model.pop()).collect();
+        assert_eq!(rest, model_rest);
+        assert_eq!(rest, vec![DescId(5), DescId(6)]);
+    }
+}
